@@ -436,15 +436,18 @@ class MNode(NamespaceReplicaMixin, Node):
             ])
             return
 
-        # -- lock coalescing: one acquisition per distinct key per batch.
+        # -- lock coalescing: one acquisition per distinct key per batch
+        # (exclusive wins over shared).
         lock_modes = {}
+        exclusive = LockMode.EXCLUSIVE
         for plan in plans:
             for key, mode in plan.lock_specs.items():
-                if lock_modes.get(key) != LockMode.EXCLUSIVE:
+                if mode == exclusive or key not in lock_modes:
                     lock_modes[key] = mode
         grants = []
+        acquire = self.locks.acquire
         for key in sorted(lock_modes):
-            grant = self.locks.acquire(key, lock_modes[key], ctx=bctx)
+            grant = acquire(key, lock_modes[key], ctx=bctx)
             yield grant.event
             grants.append(grant)
 
@@ -454,9 +457,11 @@ class MNode(NamespaceReplicaMixin, Node):
         # block, so a slot fence firing after this instant waits for
         # them (and one firing before it already failed them above).
         live = []
+        plans_cpu = 0.0
         for plan in plans:
             if self._plan_still_valid(plan):
                 live.append(plan)
+                plans_cpu += plan.cpu_us
                 if plan.slot is not None:
                     self._slot_writers[plan.slot] += 1
             else:
@@ -473,7 +478,7 @@ class MNode(NamespaceReplicaMixin, Node):
             costs = self.costs
             cpu = len(grants) * (costs.lock_acquire_us
                                  + costs.lock_release_us)
-            cpu += sum(plan.cpu_us for plan in live)
+            cpu += plans_cpu
             cpu += costs.txn_begin_us + costs.txn_commit_us
             yield from self.execute(cpu, ctx=bctx)
 
@@ -520,13 +525,13 @@ class MNode(NamespaceReplicaMixin, Node):
         payload = message.payload
         ctx = message.ctx
         if (ctx is not None and ctx.deadline is not None
-                and self.env.now_us() >= ctx.deadline):
+                and self.env.now >= ctx.deadline):
             # The client already gave up on this op; don't do its work.
             self._respond_error(
                 message, RpcFailure(RpcError.ETIMEDOUT, message.kind)
             )
             return None
-        if not self._serving_as_leader():
+        if self.shipper is not None and not self._serving_as_leader():
             # Lease fence: a deposed (or possibly-partitioned) leader
             # answers nothing — not even reads, which could otherwise
             # return state a successor has already overwritten.  No

@@ -177,8 +177,10 @@ class Node:
         # Guarded barrier: allocating the alive_barrier() generator twice
         # per CPU slice costs more than the liveness check it performs,
         # and nodes are alive for the overwhelming majority of slices.
-        network = self.network
-        if self.halted or network.is_down(self.name):
+        # ``down`` is the fabric's live down-set (``Network.is_down``
+        # without the call).
+        down = self.network.down
+        if self.halted or self.name in down:
             yield from self.alive_barrier()
         env = self.env
         traced = ctx is not None and ctx.traced
@@ -198,7 +200,7 @@ class Node:
                 if traced:
                     ctx.record("cpu", CAT_CPU, start, env.now,
                                node=self.name)
-            if self.halted or network.is_down(self.name):
+            if self.halted or self.name in down:
                 yield from self.alive_barrier()
         finally:
             self.cpu.release(req)

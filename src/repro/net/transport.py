@@ -86,8 +86,10 @@ class Network:
         #: node name -> LinkQuality while gray-degraded (usually empty;
         #: every hot path guards on truthiness so healthy runs never pay).
         self._link_quality = {}
-        #: Names of nodes currently down (crashed or hung).
-        self._down = set()
+        #: Names of nodes currently down (crashed or hung).  Read-only
+        #: outside this class: ``Node.execute`` tests membership directly
+        #: on every CPU slice.
+        self.down = set()
         #: Directed (src, dst) pairs currently partitioned.
         self._blocked = set()
         #: Per-down-node event fired by :meth:`set_up` — what a frozen
@@ -118,14 +120,14 @@ class Network:
         freezes (in-flight handlers park at their next execute slice
         instead of committing zombie transactions after the crash)."""
         self.node(name)  # validate
-        self._down.add(name)
+        self.down.add(name)
         if name not in self._resume:
             self._resume[name] = self.env.event()
 
     def set_up(self, name):
         """Bring ``name`` back (a hang ending, not a state recovery):
         traffic flows again and frozen processes resume where they were."""
-        self._down.discard(name)
+        self.down.discard(name)
         event = self._resume.pop(name, None)
         if event is not None:
             event.succeed()
@@ -141,17 +143,17 @@ class Network:
         caller then registers the new node object under the same name,
         and traffic flows to the fresh incarnation.
         """
-        if name not in self._down:
+        if name not in self.down:
             raise EnvError(
                 "cannot reincarnate {}: not down".format(name)
             )
         self.node(name)  # validate registration exists
         del self._nodes[name]
         self._resume.pop(name, None)
-        self._down.discard(name)
+        self.down.discard(name)
 
     def is_down(self, name):
-        return name in self._down
+        return name in self.down
 
     def resume_event(self, name):
         """The event a down node's frozen processes wait on; fires at
@@ -189,7 +191,7 @@ class Network:
 
     def reachable(self, src, dst):
         """True when a message from ``src`` can currently reach ``dst``."""
-        return (src not in self._down and dst not in self._down
+        return (src not in self.down and dst not in self.down
                 and (src, dst) not in self._blocked)
 
     def _drop(self, message):
@@ -253,7 +255,7 @@ class Network:
         """
         dst = self.node(message.recipient)
         message.send_time = self.env.now
-        faults = self._down or self._blocked
+        faults = self.down or self._blocked
         if faults and not self.reachable(message.sender, message.recipient):
             self._drop(message)
             return
@@ -279,9 +281,8 @@ class Network:
                 return
         ctx = message.ctx
 
-        def arrive(env=self.env):
-            yield env.schedule_timeout(delay)
-            if ((self._down or self._blocked) and not
+        def arrive(_event, env=self.env):
+            if ((self.down or self._blocked) and not
                     self.reachable(message.sender, message.recipient)):
                 self._drop(message)
                 return
@@ -294,7 +295,7 @@ class Network:
                 )
             dst.deliver(message)
 
-        self.env.process(arrive())
+        self.env.call_later(delay, arrive)
 
     def send_response(self, responder, message, size, deliver):
         """Model the response hop for an RPC ``message``.
@@ -308,7 +309,7 @@ class Network:
         across a partition, is black-holed.
         """
         requester = message.sender
-        faults = self._down or self._blocked
+        faults = self.down or self._blocked
         if faults and not self.reachable(responder, requester):
             self._drop(message)
             return
@@ -326,15 +327,14 @@ class Network:
                 self._lost.inc(message.kind)
                 return
 
-        def arrive(env=self.env):
-            yield env.schedule_timeout(delay)
-            if ((self._down or self._blocked) and not
+        def arrive(_event):
+            if ((self.down or self._blocked) and not
                     self.reachable(responder, requester)):
                 self._drop(message)
                 return
             deliver()
 
-        self.env.process(arrive())
+        self.env.call_later(delay, arrive)
 
     # -- accounting ------------------------------------------------------
 

@@ -474,6 +474,12 @@ class AsyncioEnv:
     def process(self, generator):
         return AioProcess(self, generator)
 
+    def call_later(self, delay_us, callback):
+        """Run ``callback(event)`` ``delay_us`` from now, on a later loop
+        tick even for a zero delay (the fabric's "send returns before
+        delivery" contract)."""
+        AioTimeout(self, delay_us).callbacks.append(callback)
+
     def spawn(self, generator):
         return AioProcess(self, generator)
 

@@ -34,6 +34,10 @@ not a required base):
 ``spawn(gen)``          drive a generator as a process; the handle is
                         itself an event (yieldable), with ``is_alive``
                         and ``interrupt(cause)``
+``call_later(us, cb)``  run ``cb(event)`` ``us`` microseconds from now,
+                        never before the caller returns; on the DES it
+                        is ordered exactly like a spawned process that
+                        sleeps ``us`` and then calls ``cb``
 ``all_of(events)``      event firing when every child fired
 ``any_of(events)``      event firing at the first child
 ``resource(capacity)``  capacity-limited FIFO resource (CPU cores, ...)
@@ -159,6 +163,11 @@ class Env:
     def spawn(self, generator):
         """Drive ``generator`` as a concurrent process; returns the
         process handle (yieldable, ``is_alive``, ``interrupt()``)."""
+        raise NotImplementedError
+
+    def call_later(self, delay_us, callback):
+        """Run ``callback(event)`` ``delay_us`` microseconds from now,
+        after the caller returns (cheaper than spawning a process)."""
         raise NotImplementedError
 
     def resource(self, capacity=1):

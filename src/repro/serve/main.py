@@ -149,12 +149,28 @@ def _node_argv(args, role, index=None):
     return argv
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def run_up(args):
+    """Boot the coordinator and MNodes as child processes and supervise
+    them; every exit path -- SIGINT, SIGTERM, a dead child, a child that
+    never came up -- terminates the rest.
+
+    The handlers are installed before the children start (so they get
+    default dispositions, not ours) and also replace an inherited
+    SIG_IGN: a shell starting ``up &`` non-interactively ignores SIGINT
+    in it, and SIGTERM's default would skip the clean-up entirely."""
     peers = topology(args.host, args.base_port, args.mnodes)
-    procs = [subprocess.Popen(_node_argv(args, "coordinator"))]
-    for i in range(args.mnodes):
-        procs.append(subprocess.Popen(_node_argv(args, "mnode", index=i)))
+    previous = {sig: signal.signal(sig, _interrupt)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
+    procs = []
     try:
+        procs.append(subprocess.Popen(_node_argv(args, "coordinator")))
+        for i in range(args.mnodes):
+            procs.append(
+                subprocess.Popen(_node_argv(args, "mnode", index=i)))
         for name, (host, port) in peers.items():
             if not _wait_port(host, port):
                 print("FAILED waiting for {} on {}:{}".format(
@@ -176,6 +192,10 @@ def run_up(args):
     except KeyboardInterrupt:
         return 0
     finally:
+        # A second signal must not cut the clean-up short; it is bounded
+        # (terminate, then kill after 10 s) anyway.
+        for sig in previous:
+            signal.signal(sig, signal.SIG_IGN)
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
@@ -184,7 +204,9 @@ def run_up(args):
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
-    return 0
+                proc.wait()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 # -- client / bench -----------------------------------------------------

@@ -35,12 +35,26 @@ performance" for the contract):
   common bare value-less timeout;
 * :meth:`Process._resume` binds the generator's ``send``/``throw`` once
   and type-checks yielded targets with EAFP instead of ``isinstance``;
-* :meth:`Environment.run` inlines the :meth:`step` body in its loops.
+* :meth:`Environment.run` inlines the :meth:`step` body in its loops;
+* :meth:`Environment.call_later` runs a callback where a throwaway
+  process would otherwise sleep and then call it (the network's hop
+  per message): a :class:`DeferredCall` pushes the process's start
+  entry and its timeout, and drops only its completion entry, which
+  had no callbacks;
+* same-instant continuation: when a process yields an event nobody
+  else waits on that is the heap head at the current instant, and the
+  event that woke it had no other callback, :meth:`Process._resume`
+  pops it itself and feeds the value straight back.  That is exactly
+  the pop the run loop would make next: no other callback can run in
+  between, and ``run(until=...)`` cannot stop in between, because
+  the entry's time is ``now`` and a stop event always has the loop's
+  own callback.  Only :meth:`Environment.step` can tell: one step may
+  run such a chain.
 
-None of this changes *what* is simulated: the scheduling order — the
-``(time, priority, sequence)`` triple assigned to every event — is
-bit-identical to the original kernel, which the golden-trace test
-(``tests/test_perf_golden.py``) pins down.
+None of this changes *what* is simulated: apart from the dropped
+completion entries, the scheduling order — the ``(time, priority,
+sequence)`` triple assigned to every event — is the original kernel's,
+which the golden-trace test (``tests/test_perf_golden.py``) pins down.
 """
 
 from heapq import heappop, heappush
@@ -48,8 +62,8 @@ from heapq import heappop, heappush
 from repro.runtime.api import EnvError, Interrupt
 
 __all__ = [
-    "AllOf", "AnyOf", "Environment", "Event", "Initialize", "Interrupt",
-    "Process", "SimulationError", "Timeout", "NORMAL", "URGENT",
+    "AllOf", "AnyOf", "DeferredCall", "Environment", "Event", "Initialize",
+    "Interrupt", "Process", "SimulationError", "Timeout", "NORMAL", "URGENT",
 ]
 
 #: Scheduling priorities.  URGENT entries at the same timestamp run before
@@ -133,7 +147,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        heappush(env._queue, (env.now, priority, seq, self))
         return self
 
     def fail(self, exception, priority=NORMAL):
@@ -147,7 +161,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        heappush(env._queue, (env.now, priority, seq, self))
         return self
 
 
@@ -183,7 +197,7 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+        heappush(env._queue, (env.now + delay, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -193,13 +207,47 @@ class Initialize(Event):
 
     def __init__(self, env, process):
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = process._waiters = [process._resume]
         self._value = None
         self._ok = True
         self.defused = False
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, URGENT, seq, self))
+        heappush(env._queue, (env.now, URGENT, seq, self))
+
+
+class DeferredCall(Event):
+    """A callback run ``delay`` after the current instant, scheduled the
+    way a freshly spawned process that sleeps ``delay`` and then calls it
+    would be -- minus the process (see :meth:`Environment.call_later`).
+
+    The object is pushed twice: first as a zero-delay URGENT start entry
+    (the slot :class:`Initialize` would take), whose callback pushes the
+    same object again as the ``delay`` timeout, whose callback is the
+    payload.  The process's completion entry, which nobody waited on,
+    has no counterpart.
+    """
+
+    __slots__ = ("delay", "_callback")
+
+    def __init__(self, env, delay, callback):
+        self.env = env
+        self.callbacks = [self._arm]
+        self._value = None
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        self._callback = callback
+        seq = env._seq
+        env._seq = seq + 1
+        heappush(env._queue, (env.now, URGENT, seq, self))
+
+    def _arm(self, _event):
+        env = self.env
+        self.callbacks = [self._callback]
+        seq = env._seq
+        env._seq = seq + 1
+        heappush(env._queue, (env.now + self.delay, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -210,7 +258,7 @@ class Process(Event):
     processes may therefore ``yield`` a process to wait for its completion.
     """
 
-    __slots__ = ("_generator", "_target", "_send", "_throw")
+    __slots__ = ("_generator", "_target", "_send", "_throw", "_waiters")
 
     def __init__(self, env, generator):
         try:
@@ -227,6 +275,11 @@ class Process(Event):
         self.defused = False
         self._generator = generator
         self._target = None
+        #: Callback list of the event that will resume this process next
+        #: (``None`` after an interrupt).  Its length at resume time says
+        #: whether this process is that event's only callback, the
+        #: precondition of the same-instant continuation in ``_resume``.
+        self._waiters = None
         Initialize(env, self)
 
     @property
@@ -256,6 +309,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
+        self._waiters = None
 
     def _resume(self, event):
         env = self.env
@@ -299,11 +353,30 @@ class Process(Event):
                 # Already processed: loop and feed the value straight in.
                 event = target
                 continue
+            if not callbacks:
+                # Same-instant continuation: when nobody else waits on
+                # the target and it is the heap's next entry at the
+                # current instant, the run loop's very next step would
+                # pop it and call only us.  Do that pop here instead of
+                # unwinding to the loop.  Exact only if the event that
+                # woke us has no other callback (none may run between
+                # our return and that pop); see "Simulator performance"
+                # in docs/architecture.md.
+                queue = env._queue
+                if queue:
+                    head = queue[0]
+                    if (head[3] is target and head[0] == env.now
+                            and len(self._waiters or ()) == 1):
+                        heappop(queue)
+                        target.callbacks = None
+                        event = target
+                        continue
             self._target = target
             if callbacks is _NO_CALLBACKS:
-                target.callbacks = [self._resume]
+                target.callbacks = self._waiters = [self._resume]
             else:
                 callbacks.append(self._resume)
+                self._waiters = callbacks
             break
         env._active_process = None
 
@@ -387,7 +460,10 @@ class Environment:
     :class:`~repro.runtime.aio.AsyncioEnv` with the wall clock.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks")
+    #: ``now`` is a plain slot, not a property: protocol code reads the
+    #: clock several times per operation, and an attribute load is far
+    #: cheaper than a property call.  Only the kernel assigns it.
+    __slots__ = ("now", "_queue", "_seq", "_active_process", "_clocks")
 
     #: Environment-contract flags (see :mod:`repro.runtime.api`): the
     #: simulator charges every CostModel delay as virtual time and must
@@ -397,7 +473,7 @@ class Environment:
     cooperative = False
 
     def __init__(self, initial_time=0.0):
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue = []
         #: Plain int tie-breaker; incremented inline on the hot paths.
         self._seq = 0
@@ -406,12 +482,7 @@ class Environment:
         self._clocks = None
 
     def __repr__(self):
-        return "<Environment now={} queued={}>".format(self._now, len(self._queue))
-
-    @property
-    def now(self):
-        """Current simulated time."""
-        return self._now
+        return "<Environment now={} queued={}>".format(self.now, len(self._queue))
 
     @property
     def active_process(self):
@@ -427,7 +498,7 @@ class Environment:
     def _schedule(self, event, delay=0.0, priority=NORMAL):
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (self.now + delay, priority, seq, event))
 
     # -- public event constructors ------------------------------------
 
@@ -456,19 +527,31 @@ class Environment:
         event.delay = delay
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, NORMAL, seq, event))
+        heappush(self._queue, (self.now + delay, NORMAL, seq, event))
         return event
 
     def process(self, generator):
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator)
 
+    def call_later(self, delay, callback):
+        """Run ``callback(event)`` ``delay`` time units from now.
+
+        Scheduled exactly like ``process(g)`` where ``g`` sleeps
+        ``delay`` and then calls ``callback``: the same start entry and
+        the same timeout entry, so every other event keeps its place in
+        the schedule.  What is saved is the generator, its two resumes
+        and its completion entry -- the network fabric's hop per message
+        (:mod:`repro.net.transport`).  Callers guarantee ``delay >= 0``.
+        """
+        DeferredCall(self, delay, callback)
+
     # -- environment-contract surface (repro.runtime.api) ---------------
 
     def now_us(self):
         """Current time in microseconds (the contract spelling of
         :attr:`now`; simulated time *is* microseconds by convention)."""
-        return self._now
+        return self.now
 
     def sleep(self, delay_us):
         """Contract alias for :meth:`schedule_timeout`."""
@@ -528,14 +611,15 @@ class Environment:
     # -- execution ------------------------------------------------------
 
     def step(self):
-        """Process the next scheduled event.
+        """Process the next scheduled event (and any same-instant
+        continuation a resumed process takes inline).
 
         Raises :class:`SimulationError` if the queue is empty, and re-raises
         the failure of any event that failed with no one waiting on it.
         """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        self._now, _, _, event = heappop(self._queue)
+        self.now, _, _, event = heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -562,21 +646,21 @@ class Environment:
         pop = heappop
         if until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    "until={} is in the past (now={})".format(horizon, self._now)
+                    "until={} is in the past (now={})".format(horizon, self.now)
                 )
             while queue and queue[0][0] <= horizon:
-                self._now, _, _, event = pop(queue)
+                self.now, _, _, event = pop(queue)
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event.defused:
                     raise event._value
-            self._now = horizon
+            self.now = horizon
             return None
         while queue:
-            self._now, _, _, event = pop(queue)
+            self.now, _, _, event = pop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
@@ -596,14 +680,14 @@ class Environment:
         if budget_us is None:
             self.run()
             return True
-        horizon = self._now + float(budget_us)
+        horizon = self.now + float(budget_us)
         queue = self._queue
         pop = heappop
         while queue:
             if queue[0][0] > horizon:
-                self._now = horizon
+                self.now = horizon
                 return False
-            self._now, _, _, event = pop(queue)
+            self.now, _, _, event = pop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
@@ -624,7 +708,7 @@ class Environment:
                 raise SimulationError(
                     "simulation ran out of events before {!r} fired".format(until)
                 )
-            self._now, _, _, event = pop(queue)
+            self.now, _, _, event = pop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

@@ -453,9 +453,7 @@ class ConsensusFollower(Standby):
             # Legacy shipping must never reach a consensus follower.
             self.ignored_shipments += 1
             return
-        raise RuntimeError(
-            "{} cannot handle {!r}".format(self.name, message)
-        )
+        self.refuse(message)
 
     def _on_append(self, message):
         payload = message.payload

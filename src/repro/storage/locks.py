@@ -45,8 +45,8 @@ class Grant:
 class _LockState:
     __slots__ = ("holders", "waiters")
 
-    def __init__(self):
-        self.holders = []
+    def __init__(self, holders):
+        self.holders = holders
         self.waiters = deque()
 
 
@@ -63,15 +63,18 @@ class LockManager:
         span covers any time spent queued behind other holders."""
         if mode not in _MODES:
             raise EnvError("bad lock mode: {!r}".format(mode))
+        event = self.env.event()
+        grant = Grant(key, mode, event)
         state = self._locks.get(key)
         if state is None:
-            # Fresh key: trivially grantable, skip the compatibility scan.
-            state = _LockState()
-            self._locks[key] = state
-            grant = Grant(key, mode, self.env.event())
-            self._grant(state, grant)
+            # Fresh key (the uncontended common case): trivially
+            # grantable, no compatibility scan and no open span, so the
+            # grant is made inline -- the same single event push as
+            # ``_grant``.
+            self._locks[key] = _LockState([grant])
+            grant.granted = True
+            event.succeed(grant)
             return grant
-        grant = Grant(key, mode, self.env.event())
         if self._grantable(state, mode):
             self._grant(state, grant)
         else:
@@ -93,7 +96,7 @@ class LockManager:
         state = self._locks.get(key)
         fresh = state is None
         if fresh:
-            state = _LockState()
+            state = _LockState([])
         if not self._grantable(state, mode):
             return None
         if fresh:
@@ -114,7 +117,8 @@ class LockManager:
             if grant.span is not None:
                 grant.span.finish(self.env.now, cancelled=True)
                 grant.span = None
-        self._wake(state)
+        if state.waiters:
+            self._wake(state)
         if not state.holders and not state.waiters:
             del self._locks[grant.key]
 

@@ -29,6 +29,7 @@ re-validates them — see :meth:`Standby.promote_tables`.
 
 from repro.core.records import INVALID
 from repro.net import Node
+from repro.net.rpc import RpcError, RpcFailure
 from repro.storage.table import Table
 
 
@@ -184,6 +185,15 @@ class Standby(Node):
     def table(self, name):
         return self.tables[name]
 
+    def refuse(self, message):
+        """Answer an RPC meant for a serving MNode with ENOTLEADER.
+
+        A node that restarted as a standby still receives traffic
+        addressed to its old role -- e.g. the coordinator's best-effort
+        ``rename_abort`` -- and must turn it away, not crash the run.
+        Fire-and-forget messages are dropped."""
+        self.respond_error(message, RpcFailure(RpcError.ENOTLEADER, self.name))
+
     def handle(self, message):
         if message.kind == "applied_query":
             # A restarted primary asking where to resume the delta.
@@ -191,9 +201,8 @@ class Standby(Node):
             self.respond(message, {"applied_lsn": self.applied_lsn})
             return
         if message.kind != "wal_ship":
-            raise RuntimeError(
-                "{} cannot handle {!r}".format(self.name, message)
-            )
+            self.refuse(message)
+            return
         payload = message.payload
         lsn = payload["lsn"]
         if self.promoted:

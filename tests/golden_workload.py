@@ -13,8 +13,12 @@ the kernel schedules.  Its digest pins down three things at once:
 ``tests/golden/sim_trace.json`` was generated from the kernel *before*
 the fast-path optimization (PR 4) and is committed; the test asserts the
 optimized kernel still produces the identical digest, proving the
-optimization changed no simulated outcome.  Regenerate (only when a PR
-deliberately changes simulated behaviour) with::
+optimization changed no simulated outcome.  Its kernel-bookkeeping
+fields (``event_pushes``, ``event_order_sha256``) were regenerated once
+since, when network hops became scheduled callbacks and stopped pushing
+a completion entry nobody waited on; the outcome fields did not move
+and ``tests/test_perf_golden.py`` pins them separately.  Regenerate
+(only when a change deliberately alters the schedule) with::
 
     PYTHONPATH=src python -m tests.golden_workload
 """

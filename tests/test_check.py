@@ -143,6 +143,17 @@ def test_gray_schedule_is_bit_identical():
     assert first == second
 
 
+def test_restarted_standby_refuses_stray_rpc():
+    """Regression: in mixed-mix seed 890022306 a crashed MNode comes back
+    as a standby and then receives the coordinator's best-effort
+    ``rename_abort``.  The standby used to raise "cannot handle" and stop
+    the whole simulation; it now answers ENOTLEADER and the schedule
+    audits clean."""
+    result = run_schedule(generate_schedule(890022306, nemesis_mix="mixed"))
+    assert result["violations"] == [], result["violations"]
+    assert result["stats"]["quiesced"]
+
+
 def test_runs_do_not_leak_into_each_other():
     """A run's result is independent of what ran before it in the
     process (global id counters are rewound per run)."""

@@ -187,3 +187,86 @@ def test_cost_model_transfer_math():
     costs = CostModel()
     assert costs.transfer_us(costs.net_bandwidth_bytes_per_us) == 1.0
     assert costs.hop_us(0) == costs.rpc_latency_us
+
+
+class RecorderNode(Node):
+    """Records every delivered message's kind and arrival time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def deliver(self, message):
+        self.seen.append((message.kind, self.env.now))
+
+
+def _hop(net):
+    return net.costs.hop_us(net.costs.rpc_request_bytes)
+
+
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_fault_during_request_hop_black_holes_on_arrival(env, net, fault):
+    sender = Node(env, net, "a")
+    receiver = RecorderNode(env, net, "b")
+    sender.send("b", "ping")
+    env.run(until=_hop(net) / 2)
+    if fault == "crash":
+        net.set_down("b")
+    else:
+        net.partition(["a"], ["b"])
+    env.run()
+    assert receiver.seen == []
+    assert net.dropped_count("ping") == 1
+
+
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_fault_during_response_hop_black_holes_on_arrival(env, net, fault):
+    EchoNode(env, net, "server")
+    client = Node(env, net, "client")
+    outcome = []
+
+    def caller():
+        outcome.append((yield client.call("server", "echo", "x")))
+
+    env.process(caller())
+    # Run until the response is on the wire: request hop + CPU slices.
+    while net.response_count("echo") == 0:
+        env.step()
+    if fault == "crash":
+        net.set_down("server")
+    else:
+        net.partition(["server"], ["client"])
+    env.run()
+    assert outcome == []
+    assert net.dropped_count("echo") == 1
+
+
+def test_hop_arrives_after_exactly_one_hop_delay(env, net):
+    sender = Node(env, net, "a")
+    receiver = RecorderNode(env, net, "b")
+    sender.send("b", "ping")
+    env.run()
+    assert receiver.seen == [("ping", _hop(net))]
+
+
+def test_asyncio_send_returns_before_delivery():
+    import asyncio
+
+    from repro.runtime import AsyncioEnv
+
+    async def scenario():
+        env = AsyncioEnv()
+        net = Network(env, CostModel())
+        sender = Node(env, net, "a")
+        receiver = RecorderNode(env, net, "b")
+        sender.send("b", "ping")
+        delivered_at_return = list(receiver.seen)
+        for _ in range(10):
+            if receiver.seen:
+                break
+            await asyncio.sleep(0)
+        return delivered_at_return, [kind for kind, _ in receiver.seen]
+
+    before, after = asyncio.run(scenario())
+    assert before == []
+    assert after == ["ping"]

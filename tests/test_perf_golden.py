@@ -27,6 +27,24 @@ from tests.golden_failover_workload import (
 from tests.golden_workload import GOLDEN_PATH, run_golden
 
 
+#: What the reference workload *simulates*, pinned here as well as in
+#: the golden file.  The file also pins the kernel's bookkeeping
+#: (``event_pushes``, ``event_order_sha256``), which a change that only
+#: drops heap entries nobody waits on may regenerate; these outcome
+#: fields must survive such a regeneration untouched.
+GOLDEN_OUTCOME = {
+    "errors": 0,
+    "final_now": 730.72288,
+    "loaded_inodes": 42,
+    "messages": 120,
+    "ops": 120,
+    "responses": 120,
+    "trace_sha256":
+        "eda3dacf3240060fba68ef5f214b85e4fa1c4035e0b1d4b97fcf638681a51d17",
+    "trace_spans": 1060,
+}
+
+
 @pytest.fixture(scope="module")
 def golden_digest():
     return run_golden()
@@ -49,6 +67,14 @@ def test_golden_digest_matches_committed(golden_digest):
         "simulated outcome diverged from the pre-optimization golden "
         "trace: {}".format(mismatched)
     )
+
+
+def test_golden_outcome_fields_are_pinned(golden_digest):
+    with open(GOLDEN_PATH) as handle:
+        committed = json.load(handle)
+    assert {key: committed[key] for key in GOLDEN_OUTCOME} == GOLDEN_OUTCOME
+    assert ({key: golden_digest[key] for key in GOLDEN_OUTCOME}
+            == GOLDEN_OUTCOME)
 
 
 def test_same_seed_is_bit_identical_across_runs(golden_digest):

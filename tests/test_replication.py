@@ -244,3 +244,28 @@ def _timed_create(cluster):
     start = env.now
     fs.create("/t/probe")
     return env.now - start
+
+
+def test_standby_answers_stray_rpc_with_enotleader():
+    """A standby turns away an RPC meant for a serving MNode (a restarted
+    node still gets its old role's traffic) instead of crashing."""
+    from repro.net import CostModel, Network, Node, RpcError, RpcFailure
+    from repro.sim import Environment
+    from repro.storage.replication import Standby
+
+    env = Environment()
+    net = Network(env, CostModel())
+    Standby(env, net, "standby")
+    caller = Node(env, net, "coord")
+    outcome = []
+
+    def ask():
+        try:
+            yield caller.call("standby", "rename_abort", {"txid": 1})
+        except RpcFailure as failure:
+            outcome.append(failure.code)
+        caller.send("standby", "rename_abort", {"txid": 2})
+
+    env.process(ask())
+    env.run()
+    assert outcome == [RpcError.ENOTLEADER]

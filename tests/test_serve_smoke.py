@@ -155,3 +155,56 @@ def test_prometheus_scrape(cluster):
     for line in samples:
         name = line.split("{")[0].split(" ")[0]
         assert name.startswith("falconfs_"), line
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_up_sigterm_stops_every_child():
+    """SIGTERM to ``up`` must take its node processes down with it; it
+    used to exit alone and leave all four running."""
+    base = _pick_base_port()
+    up = _serve("up", "--mnodes", str(MNODES), "--base-port", str(base))
+    children = []
+    try:
+        for i in range(MNODES + 1):
+            assert _wait_port(base + i), (
+                "server on port {} never came up".format(base + i))
+        children = _children(up.pid)
+        assert len(children) == MNODES + 1, children
+        up.send_signal(signal.SIGTERM)
+        up.wait(timeout=20)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_running, children)):
+            time.sleep(0.1)
+        assert not [pid for pid in children if _running(pid)]
+    finally:
+        if up.poll() is None:
+            up.kill()
+            up.wait(timeout=10)
+        for pid in children:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

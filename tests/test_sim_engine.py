@@ -325,6 +325,161 @@ class TestConditions:
         assert env.run(until=env.process(proc())) == [1, 2]
 
 
+class TestSameInstantContinuation:
+    """``Process._resume`` pops the next heap entry itself when it is the
+    yielded event at the current instant with no other waiter; the order
+    of everything simulated must be exactly the run loop's."""
+
+    def test_inline_pop_happens_within_one_step(self, env):
+        log = []
+
+        def proc():
+            yield env.timeout(5.0)
+            ready = env.event()
+            ready.succeed("v")
+            log.append((yield ready))
+            return "done"
+
+        handle = env.process(proc())
+        env.step()  # start the process
+        env.step()  # the timeout; the succeeded event is taken inline
+        assert log == ["v"]
+        assert not handle.is_alive and handle.value == "done"
+
+    def test_earlier_same_instant_entry_runs_first(self, env):
+        log = []
+
+        def first():
+            yield env.timeout(5.0)
+            ready = env.event()
+            ready.succeed()
+            log.append("first-yields")
+            yield ready
+            log.append("first-resumes")
+
+        def second():
+            yield env.timeout(5.0)
+            log.append("second")
+
+        env.process(first())
+        env.process(second())
+        env.run()
+        # ``second``'s timeout was queued before ``ready``: it is not the
+        # heap head, so no inline pop may overtake it.
+        assert log == ["first-yields", "second", "first-resumes"]
+
+    def test_other_callbacks_of_the_waking_event_run_first(self, env):
+        log = []
+        shared = env.event()
+
+        def waiter(tag):
+            yield shared
+            ready = env.event()
+            ready.succeed()
+            log.append(tag + "-yields")
+            yield ready
+            log.append(tag + "-resumes")
+
+        env.process(waiter("a"))
+        env.process(waiter("b"))
+
+        def trigger():
+            yield env.timeout(1.0)
+            shared.succeed()
+
+        env.process(trigger())
+        env.run()
+        # ``b`` is a later callback of ``shared``; ``a`` taking its ready
+        # event inline would have run ahead of it.
+        assert log == ["a-yields", "b-yields", "a-resumes", "b-resumes"]
+
+    def test_failed_event_is_thrown_and_defused(self, env):
+        caught = []
+        failing = []
+
+        def proc():
+            yield env.timeout(1.0)
+            event = env.event()
+            event.fail(ValueError("boom"))
+            failing.append(event)
+            try:
+                yield event
+            except ValueError as exc:
+                caught.append((str(exc), env.now))
+            return "survived"
+
+        handle = env.process(proc())
+        env.step()
+        env.step()  # the failure is taken inline, inside this step
+        assert caught == [("boom", 1.0)]
+        assert failing[0].defused and failing[0].processed
+        assert env.run(until=handle) == "survived"
+
+    def test_run_until_time_keeps_its_horizon(self, env):
+        log = []
+
+        def proc():
+            yield env.timeout(5.0)
+            ready = env.event()
+            ready.succeed()
+            yield ready
+            log.append(env.now)
+            yield env.timeout(1.0)
+            log.append(env.now)
+
+        env.process(proc())
+        env.run(until=4.0)
+        assert log == [] and env.now == 4.0
+        env.run(until=5.0)
+        assert log == [5.0] and env.now == 5.0
+        env.run()
+        assert log == [5.0, 6.0]
+
+    def test_interrupt_after_inline_chain(self, env):
+        def sleeper():
+            ready = env.event()
+            ready.succeed()
+            yield ready
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as interrupt:
+                ready = env.event()
+                ready.succeed(interrupt.cause)
+                cause = yield ready
+                return (cause, env.now)
+
+        proc = env.process(sleeper())
+
+        def killer():
+            yield env.timeout(7.0)
+            proc.interrupt("stop")
+
+        env.process(killer())
+        assert env.run(until=proc) == ("stop", 7.0)
+
+
+class TestCallLater:
+    def test_callback_runs_after_delay(self, env):
+        seen = []
+        env.call_later(4.0, lambda event: seen.append(env.now))
+        assert seen == []
+        env.run()
+        assert seen == [4.0]
+
+    def test_ordered_like_a_spawned_process(self, env):
+        order = []
+
+        def sleeper(tag, delay):
+            yield env.timeout(delay)
+            order.append(tag)
+
+        env.process(sleeper("process-before", 2.0))
+        env.call_later(2.0, lambda event: order.append("call"))
+        env.process(sleeper("process-after", 2.0))
+        env.run()
+        assert order == ["process-before", "call", "process-after"]
+
+
 def _record_at(env, delay, log):
     yield env.timeout(delay)
     log.append(env.now)
