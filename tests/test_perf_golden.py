@@ -20,6 +20,10 @@ import tracemalloc
 
 import pytest
 
+from tests.golden_election_workload import (
+    ELECTION_GOLDEN_PATH,
+    run_election_golden,
+)
 from tests.golden_failover_workload import (
     FAILOVER_GOLDEN_PATH,
     run_failover_golden,
@@ -53,6 +57,11 @@ def golden_digest():
 @pytest.fixture(scope="module")
 def failover_digest():
     return run_failover_golden()
+
+
+@pytest.fixture(scope="module")
+def election_digest():
+    return run_election_golden()
 
 
 def test_golden_digest_matches_committed(golden_digest):
@@ -100,6 +109,28 @@ def test_failover_digest_matches_committed(failover_digest):
 
 def test_failover_digest_is_bit_identical_across_runs(failover_digest):
     assert run_failover_golden() == failover_digest
+
+
+def test_election_digest_matches_committed(election_digest):
+    """The consensus reference run (crash -> election -> rejoin by
+    snapshot, leader partition, fast restart) must reproduce its
+    committed digest — every ack timestamp, the verdict, and every
+    group member's log positions."""
+    with open(ELECTION_GOLDEN_PATH) as handle:
+        want = json.load(handle)
+    mismatched = {
+        key: (election_digest[key], value)
+        for key, value in want.items()
+        if election_digest[key] != value
+    }
+    assert not mismatched, (
+        "election outcome diverged from the committed golden trace: {}"
+        .format(mismatched)
+    )
+
+
+def test_election_digest_is_bit_identical_across_runs(election_digest):
+    assert run_election_golden() == election_digest
 
 
 def _untraced_workload():
