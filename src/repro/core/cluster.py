@@ -337,12 +337,10 @@ class FalconCluster:
     def stop_consensus_timers(self):
         self._consensus_running = False
         for mnode in self.mnodes:
-            shipper = mnode.shipper
-            if shipper is not None and hasattr(shipper, "stop"):
-                shipper.stop()
+            if mnode.shipper is not None:
+                mnode.shipper.stop()
         for follower in self.standbys:
-            if follower is not None and hasattr(follower,
-                                                "stop_elections"):
+            if follower is not None:
                 follower.stop_elections()
 
     def install_elected_leader(self, slot, term, claim):
@@ -370,13 +368,13 @@ class FalconCluster:
                     None if follower is None else follower.name))
         old = self.mnodes[slot]
         follower.force_apply_all()
-        base_lsn = follower._last_lsn()
-        base_term = follower._last_term()
+        base_lsn = follower.log.last_lsn
+        base_term = follower.log.last_term
         # Entries the old leader appended but never quorum-committed:
         # durable on one machine only, never acknowledged to anyone.
         lost_txns = 0
         if old.shipper is not None:
-            lost_txns = max(0, old.shipper.last_lsn - base_lsn)
+            lost_txns = max(0, old.shipper.log.last_lsn - base_lsn)
         follower.stop_elections()
         tables = follower.promote_tables()
         self._promotions += 1
@@ -434,8 +432,7 @@ class FalconCluster:
                                        self.witnesses[index].name)
         leader = self.mnodes[index]
         self.standbys[index] = follower
-        if leader.shipper is not None and hasattr(leader.shipper,
-                                                  "attach_data_member"):
+        if leader.shipper is not None:
             leader.shipper.attach_data_member(follower.name)
         yield from follower.catch_up(leader.name)
         if self._consensus_running:
@@ -537,7 +534,7 @@ class FalconCluster:
                          if lsn > anchor and payload]
             base_lsn = base + len(shippable) - 1
             base_term = (shippable[-1][0] if shippable
-                         else getattr(old.shipper, "base_term", 0))
+                         else old.shipper.log.base_term)
             shipper = node.attach_group(
                 self.witnesses[index].name,
                 standby_name=None if standby is None else standby.name,

@@ -108,8 +108,7 @@ class MNode(NamespaceReplicaMixin, Node):
         self.moved_slots = {}
         #: Slots whose snapshot is installed but whose fenced delta has
         #: not been applied yet — requests bounce ERETRY until
-        #: activation (the handoff-safety invariant the planted
-        #: ``broken_handoff`` bug violates).
+        #: activation (the handoff-safety invariant).
         self.pending_slots = set()
         #: slot -> captured logical records: while a slot is being
         #: migrated away, every commit touching it is also appended
@@ -909,9 +908,8 @@ class MNode(NamespaceReplicaMixin, Node):
         """Consensus member ack: advance its match index, move the
         commit horizon, renew the lease — or fence this leader for good
         when the ack carries a higher term (a successor exists)."""
-        shipper = self.shipper
-        if shipper is not None and hasattr(shipper, "on_ack"):
-            shipper.on_ack(message.payload)
+        if self.shipper is not None:
+            self.shipper.on_ack(message.payload)
         return
         yield  # pragma: no cover
 
@@ -939,11 +937,11 @@ class MNode(NamespaceReplicaMixin, Node):
             self.costs.index_lookup_us + 0.02 * count, ctx=message.ctx
         )
         reply = {"tables": entries, "lsn": lsn}
-        if self.shipper is not None and hasattr(self.shipper, "last_term"):
+        if self.shipper is not None and hasattr(self.shipper, "log"):
             # Consensus: the follower resets its log base to this
             # snapshot point, so it needs the term at that position.
-            reply["term"] = (self.shipper.last_term if lsn
-                             == self.shipper.last_lsn else 0)
+            log = self.shipper.log
+            reply["term"] = log.last_term if lsn == log.last_lsn else 0
         self.respond(
             message, reply,
             size=self.costs.rpc_response_bytes
@@ -1710,15 +1708,6 @@ class MNode(NamespaceReplicaMixin, Node):
             yield from txn.commit()
         else:
             txn.abort()
-        if self.shared.config.broken_handoff:
-            # PLANTED BUG (test-only): start serving as soon as the
-            # snapshot lands, without waiting for the fenced delta —
-            # any write the source acknowledged during the capture
-            # window is invisible here (and clobbered when the stale
-            # activate arrives).  The migration nemesis must catch it.
-            self.pending_slots.discard(slot)
-            self.hosted_slots.add(slot)
-            self.moved_slots.pop(slot, None)
         self.respond(message, {"ok": True, "installed": len(entries)})
 
     def _on_slot_fence(self, message):
@@ -1779,9 +1768,10 @@ class MNode(NamespaceReplicaMixin, Node):
         slot = payload["slot"]
         if slot in self.hosted_slots:
             # Already serving.  Unreachable under the correct protocol
-            # (the slot is pending until this handler runs); only the
-            # broken_handoff ablation lands here — it activated at
-            # install time and now drops the delta on the floor.
+            # (the slot is pending until this handler runs); only a
+            # destination that activated early (the planted bug in
+            # tests/test_migration.py) lands here, and the delta is
+            # dropped on the floor.
             self.respond(message, {"ok": True, "applied": 0})
             return
         txn = self._txn(ctx=message.ctx)

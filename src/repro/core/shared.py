@@ -196,10 +196,6 @@ class FalconConfig:
     #: to move: each slot is the unit of online handoff and nodes host
     #: several.
     num_slots: int = 0
-    #: Test-only: activate a migrated slot at the destination as soon as
-    #: the snapshot installs, WITHOUT waiting for the fenced delta — the
-    #: planted handoff bug the checker's migration nemesis must catch.
-    broken_handoff: bool = False
     seed: int = 0
 
 

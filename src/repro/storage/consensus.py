@@ -19,6 +19,10 @@ a three-member group:
   copy) while keeping the safety math: commit quorum and vote quorum
   are both 2-of-3, so they intersect.
 
+All three keep their positions in one :class:`TermLog`, which also
+owns the AppendEntries accept step; resync, base adoption, fsync cost
+and the commit guard on truncation stay with each role.
+
 Safety properties this module provides (and the checker's tightened
 oracle asserts — no promotion-loss excusal):
 
@@ -54,7 +58,106 @@ from repro.net import Node
 from repro.net.rpc import RpcFailure
 from repro.obs import NULL_CONTEXT, deadline_call
 from repro.storage.replication import Standby
-from repro.storage.table import Table
+
+
+class TermLog:
+    """One member's log positions: contiguous ``(lsn, term, payload)``
+    entries strictly above a ``(base_lsn, base_term)`` snapshot horizon.
+    The payload is a record list on the data path, None at the witness.
+    """
+
+    __slots__ = ("base_lsn", "base_term", "entries", "truncations")
+
+    def __init__(self, base_lsn=0, base_term=0):
+        self.base_lsn = base_lsn
+        self.base_term = base_term
+        self.entries = []
+        self.truncations = 0
+
+    @property
+    def last_lsn(self):
+        return self.entries[-1][0] if self.entries else self.base_lsn
+
+    @property
+    def last_term(self):
+        return self.entries[-1][1] if self.entries else self.base_term
+
+    def term_at(self, lsn):
+        """Term held at ``lsn``; None below the base or past the end."""
+        if lsn <= self.base_lsn:
+            return self.base_term if lsn == self.base_lsn else None
+        index = lsn - self.base_lsn - 1
+        if index >= len(self.entries):
+            return None
+        return self.entries[index][1]
+
+    def matches(self, prev_lsn, prev_term):
+        """May entries following ``(prev_lsn, prev_term)`` append here?
+        False on a gap (``prev`` past our end) or a conflict (we hold a
+        different term there); a ``prev`` below the base matches."""
+        if prev_lsn > self.last_lsn:
+            return False
+        mine = self.term_at(prev_lsn)
+        return mine is None or mine == prev_term
+
+    def truncate_from(self, lsn):
+        self.truncations += 1
+        self.entries = [entry for entry in self.entries if entry[0] < lsn]
+
+    def reset(self, base_lsn, base_term):
+        """Drop every entry and re-base at a snapshot point."""
+        self.entries = []
+        self.base_lsn = base_lsn
+        self.base_term = base_term
+
+    def accept(self, prev, entries, truncate):
+        """The AppendEntries accept step (log matching).
+
+        Refuses — returning None, after ``truncate(prev_lsn)`` on a
+        conflict — unless ``prev`` matches.  Otherwise appends the
+        shipped entries, skipping those at or below the base and
+        duplicate redeliveries, and calling ``truncate(lsn)`` before
+        overwriting a conflicting (necessarily uncommitted) suffix.
+        Returns the newly appended entries."""
+        prev_lsn, prev_term = prev
+        if not self.matches(prev_lsn, prev_term):
+            if prev_lsn <= self.last_lsn:
+                truncate(prev_lsn)
+            return None
+        appended = []
+        for lsn, term, payload in entries:
+            if lsn <= self.base_lsn:
+                continue
+            have = self.term_at(lsn)
+            if have == term:
+                continue  # duplicate delivery
+            if have is not None:
+                truncate(lsn)
+            entry = (lsn, term, payload)
+            self.entries.append(entry)
+            appended.append(entry)
+        return appended
+
+    def positions(self):
+        """``{lsn: term}`` including the base position; genesis (lsn 0)
+        is excluded."""
+        out = {self.base_lsn: self.base_term} if self.base_lsn > 0 else {}
+        out.update((lsn, term) for lsn, term, _ in self.entries)
+        return out
+
+
+def _send_append_ack(member, to, ok, echo, match_lsn=None, stale=False):
+    """The one ``append_ack`` every member sends — ack, nack (its
+    ``match_lsn`` hints where the leader should back up to) or stale
+    nack (the sender's term is behind ours)."""
+    payload = {"term": member.term, "ok": ok}
+    if stale:
+        payload["stale"] = True
+    payload["match_lsn"] = (member.log.last_lsn if match_lsn is None
+                            else match_lsn)
+    payload["echo"] = echo
+    payload["member"] = member.name
+    member.send(to, "append_ack", payload)
 
 
 class ReplicatedLog:
@@ -65,9 +168,9 @@ class ReplicatedLog:
     becomes a term-stamped log entry and the commit path can park on
     :meth:`wait_quorum` until a majority has durably appended it.
 
-    Entries live above a ``(base_lsn, base_term)`` horizon — the
-    snapshot point the leader's tables were built from (bulk load,
-    redo recovery, or an election install).  Everything in ``entries``
+    Its :class:`TermLog` starts at a ``(base_lsn, base_term)`` horizon —
+    the snapshot point the leader's tables were built from (bulk load,
+    redo recovery, or an election install).  Every entry above the base
     carries the *current* term (a leader never appends under an old
     term), which is what makes commit-by-counting safe without Raft's
     §5.4.2 current-term restriction as a separate check.
@@ -87,11 +190,7 @@ class ReplicatedLog:
         #: cluster wiring); the data member's name or None.
         self.standby_name = standby_name
         self.term = term
-        self.base_lsn = base_lsn
-        self.base_term = base_term
-        #: ``[(lsn, term, records), ...]`` — contiguous, strictly above
-        #: the base, all stamped with the current term.
-        self.entries = []
+        self.log = TermLog(base_lsn, base_term)
         self.commit_lsn = base_lsn
         self.quorum = group_size // 2 + 1
         self.lease_us = lease_us
@@ -111,12 +210,8 @@ class ReplicatedLog:
         #: commit progress only ever comes from fresh acks.
         self.members = {}
         if standby_name is not None:
-            self.members[standby_name] = {
-                "match": 0, "next": base_lsn + 1, "hi": 0, "data": True,
-            }
-        self.members[witness_name] = {
-            "match": 0, "next": base_lsn + 1, "hi": 0, "data": False,
-        }
+            self._add_member(standby_name, data=True)
+        self._add_member(witness_name, data=False)
         self._waiters = []
         self._running = False
         self.shipped_records = 0
@@ -126,17 +221,9 @@ class ReplicatedLog:
     # -- compat readouts -------------------------------------------------
 
     @property
-    def last_lsn(self):
-        return self.entries[-1][0] if self.entries else self.base_lsn
-
-    @property
-    def last_term(self):
-        return self.entries[-1][1] if self.entries else self.base_term
-
-    @property
     def next_lsn(self):
         """LogShipper-compatible: the LSN the next entry will take."""
-        return self.last_lsn + 1
+        return self.log.last_lsn + 1
 
     @property
     def acked_lsn(self):
@@ -146,16 +233,6 @@ class ReplicatedLog:
             if member["data"]:
                 best = max(best, member["match"])
         return best
-
-    @property
-    def history(self):
-        """Uncommitted suffix as LogShipper-style ``(lsn, records)``."""
-        return [(lsn, records) for lsn, _, records in self.entries
-                if lsn > self.commit_lsn]
-
-    @property
-    def retained(self):
-        return len(self.entries)
 
     # -- appending and shipping ------------------------------------------
 
@@ -167,26 +244,14 @@ class ReplicatedLog:
         durable before any member sees it."""
         self.append(txn.export_writes())
 
-    def ship_payload(self, records, lsn=None):
-        """LogShipper-compatible entry point (re-ship LSNs are ignored:
-        a consensus log owns its LSN space)."""
-        if records:
-            self.append(records)
-
     def append(self, records):
         if not records or self.deposed:
             return None
-        lsn = self.last_lsn + 1
-        self.entries.append((lsn, self.term, records))
+        lsn = self.log.last_lsn + 1
+        self.log.entries.append((lsn, self.term, records))
         for name, member in self.members.items():
             self._send_member(name, member)
         return lsn
-
-    def _position_at(self, lsn):
-        """``(lsn, term)`` for an LSN at or above the base."""
-        if lsn <= self.base_lsn:
-            return (self.base_lsn, self.base_term)
-        return (lsn, self.entries[lsn - self.base_lsn - 1][1])
 
     def _send_member(self, name, member):
         """Ship the member's pending suffix (possibly empty — then the
@@ -194,10 +259,11 @@ class ReplicatedLog:
         lets the member detect gaps via the ``prev`` check)."""
         if self.deposed:
             return
-        start = max(member["next"], self.base_lsn + 1)
+        log = self.log
+        start = max(member["next"], log.base_lsn + 1)
         member["next"] = start
-        prev = self._position_at(start - 1)
-        suffix = self.entries[start - self.base_lsn - 1:]
+        prev_lsn = start - 1
+        suffix = log.entries[start - log.base_lsn - 1:]
         if member["data"]:
             body = [[lsn, term, records] for lsn, term, records in suffix]
             shipped = sum(len(records) for _, _, records in suffix)
@@ -214,8 +280,8 @@ class ReplicatedLog:
             name, "append_entries",
             {
                 "term": self.term, "leader": self.node.name,
-                "prev": [prev[0], prev[1]],
-                "base": [self.base_lsn, self.base_term],
+                "prev": [prev_lsn, log.term_at(prev_lsn)],
+                "base": [log.base_lsn, log.base_term],
                 "entries": body,
                 "commit_lsn": self.commit_lsn,
                 "echo": self.node.clock.now_us(),
@@ -227,8 +293,11 @@ class ReplicatedLog:
     def attach_data_member(self, name):
         """(Re)attach a data follower (a rejoin after crash/demotion)."""
         self.standby_name = name
+        self._add_member(name, data=True)
+
+    def _add_member(self, name, data):
         self.members[name] = {
-            "match": 0, "next": self.base_lsn + 1, "hi": 0, "data": True,
+            "match": 0, "next": self.log.base_lsn + 1, "hi": 0, "data": data,
         }
 
     # -- acks, commit, lease ---------------------------------------------
@@ -258,14 +327,15 @@ class ReplicatedLog:
             member["next"] = max(member["next"], member["match"] + 1)
         else:
             hint = payload.get("match_lsn", 0)
-            member["next"] = max(self.base_lsn + 1,
+            member["next"] = max(self.log.base_lsn + 1,
                                  min(member["next"], hint + 1))
             member["match"] = min(member["match"], hint)
             self._send_member(payload["member"], member)
 
     def _advance_commit(self):
         matches = sorted(
-            [self.last_lsn] + [m["match"] for m in self.members.values()],
+            [self.log.last_lsn]
+            + [m["match"] for m in self.members.values()],
             reverse=True,
         )
         candidate = matches[self.quorum - 1]
@@ -309,16 +379,14 @@ class ReplicatedLog:
         reports True even under a lapsed lease: a majority holds it,
         so every future leader will too."""
         if lsn is None:
-            lsn = self.last_lsn
+            lsn = self.log.last_lsn
         env = self.node.env
         clock = self.node.clock
         while True:
             if lsn <= self.commit_lsn:
                 return True
-            if self.deposed:
-                self.quorum_failures += 1
-                return False
-            if self._running and clock.now_us() >= self.lease_until:
+            if self.deposed or (self._running
+                                and clock.now_us() >= self.lease_until):
                 self.quorum_failures += 1
                 return False
             event = env.event()
@@ -373,8 +441,9 @@ class ConsensusFollower(Standby):
     """The data-holding voter of a metadata group.
 
     Extends :class:`~repro.storage.replication.Standby` with a proper
-    replicated log: entries buffer in ``log`` above a snapshot base and
-    only the quorum-committed prefix is applied to the tables, so a
+    replicated log: entries buffer in its :class:`TermLog` above a
+    snapshot base and only the quorum-committed prefix is applied
+    (through the standby's record-apply loop) to the tables, so a
     conflicting (necessarily uncommitted) suffix can still be truncated
     without un-applying anything.  It is the only member that can stand
     for election: on a full election-timeout of silence it pre-votes,
@@ -395,11 +464,9 @@ class ConsensusFollower(Standby):
         self.rpc_timeout_us = rpc_timeout_us
         self.term = 0
         self.leader_name = None
-        #: ``[(lsn, term, records), ...]`` above ``(log_base_lsn,
-        #: log_base_term)`` — the snapshot horizon from catch-up.
-        self.log = []
-        self.log_base_lsn = 0
-        self.log_base_term = 0
+        #: Entries carry record lists; the base is the snapshot horizon
+        #: from catch-up.
+        self.log = TermLog()
         self.commit_lsn = 0
         #: Bumped on every message from a live leader; the election
         #: loop compares epochs across its sleep instead of managing a
@@ -407,53 +474,32 @@ class ConsensusFollower(Standby):
         self.heard_epoch = 0
         self.elections_started = 0
         self.elections_won = 0
-        self.truncations = 0
         self._running = False
 
     # -- log helpers -----------------------------------------------------
 
-    def _last_lsn(self):
-        return self.log[-1][0] if self.log else self.log_base_lsn
-
-    def _last_term(self):
-        return self.log[-1][1] if self.log else self.log_base_term
-
-    def _term_at(self, lsn):
-        if lsn <= self.log_base_lsn:
-            return self.log_base_term if lsn == self.log_base_lsn else None
-        index = lsn - self.log_base_lsn - 1
-        if index >= len(self.log):
-            return None
-        return self.log[index][1]
-
     def _truncate_from(self, lsn):
+        """Only an uncommitted suffix may go: applied state cannot be
+        un-applied, so a request to cut below the commit horizon means
+        log matching itself broke."""
         if lsn <= self.commit_lsn:
             raise RuntimeError(
                 "log-matching violation on {}: asked to truncate "
                 "committed entry {} (commit_lsn={})".format(
                     self.name, lsn, self.commit_lsn))
-        self.truncations += 1
-        self.log = [entry for entry in self.log if entry[0] < lsn]
-
-    def _heard(self):
-        self.heard_epoch += 1
+        self.log.truncate_from(lsn)
 
     # -- message handling ------------------------------------------------
 
     def handle(self, message):
-        kind = message.kind
-        if kind == "append_entries":
+        if message.kind == "append_entries":
             yield from self._on_append(message)
-            return
-        if kind == "applied_query":
-            yield from self.execute(self.costs.index_lookup_us)
-            self.respond(message, {"applied_lsn": self.applied_lsn})
-            return
-        if kind == "wal_ship":
+        elif message.kind == "wal_ship":
             # Legacy shipping must never reach a consensus follower.
             self.ignored_shipments += 1
-            return
-        self.refuse(message)
+        else:
+            # applied_query answers, anything else is refused.
+            yield from super().handle(message)
 
     def _on_append(self, message):
         payload = message.payload
@@ -463,50 +509,31 @@ class ConsensusFollower(Standby):
             self.ignored_shipments += 1
             return
         if payload["term"] < self.term:
-            self.send(message.sender, "append_ack", {
-                "term": self.term, "ok": False, "stale": True,
-                "match_lsn": self._last_lsn(),
-                "echo": payload["echo"], "member": self.name,
-            })
+            _send_append_ack(self, message.sender, False, payload["echo"],
+                             stale=True)
             return
         if payload["term"] > self.term:
             self.term = payload["term"]
         self.leader_name = payload["leader"]
-        self._heard()
+        self.heard_epoch += 1
         if self.catching_up:
             # A snapshot install is in flight and will reset the log
             # base; appends in the meantime are dropped (the leader's
             # heartbeat re-offers the suffix after the install).
             return
-        base_lsn, base_term = payload["base"]
-        if base_lsn > self._last_lsn():
+        if payload["base"][0] > self.log.last_lsn:
             # The leader's log starts above everything we have: only a
             # snapshot can catch us up.
             self.env.process(self._resync(payload["leader"]))
             return
-        prev_lsn, prev_term = payload["prev"]
-        if prev_lsn > self._last_lsn():
-            self._nack(message.sender, payload)  # gap
+        appended = self.log.accept(payload["prev"], payload["entries"],
+                                   self._truncate_from)
+        if appended is None:
+            _send_append_ack(self, message.sender, False, payload["echo"])
             return
-        mine = self._term_at(prev_lsn)
-        if mine is not None and mine != prev_term:
-            self._truncate_from(prev_lsn)
-            self._nack(message.sender, payload)
-            return
-        appended = 0
-        nbytes = 0
-        for lsn, term, records in payload["entries"]:
-            if lsn <= self.log_base_lsn:
-                continue
-            have = self._term_at(lsn)
-            if have == term:
-                continue  # duplicate delivery
-            if have is not None:
-                self._truncate_from(lsn)
-            self.log.append((lsn, term, records))
-            appended += 1
-            nbytes += self.costs.wal_record_bytes * len(records)
         if appended:
+            nbytes = sum(self.costs.wal_record_bytes * len(records)
+                         for _, _, records in appended)
             # Durable append *before* the ack — quorum commit is only
             # meaningful if an ack certifies durability.
             yield self.env.fsync(
@@ -514,7 +541,7 @@ class ConsensusFollower(Standby):
                 + nbytes * self.costs.wal_us_per_byte, nbytes)
             if self.halted or self.promoted:
                 return
-        commit = min(payload["commit_lsn"], self._last_lsn())
+        commit = min(payload["commit_lsn"], self.log.last_lsn)
         if commit > self.commit_lsn:
             self.commit_lsn = commit
             applied = self._apply_committed()
@@ -522,37 +549,15 @@ class ConsensusFollower(Standby):
                 yield from self.execute(self.costs.index_insert_us * applied)
                 if self.halted or self.promoted:
                     return
-        self.send(message.sender, "append_ack", {
-            "term": self.term, "ok": True, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
-
-    def _nack(self, sender, payload):
-        self.send(sender, "append_ack", {
-            "term": self.term, "ok": False, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
+        _send_append_ack(self, message.sender, True, payload["echo"])
 
     def _apply_committed(self):
         """Apply log entries up to the commit horizon; returns records
-        applied.  This is the only path that touches the tables."""
-        applied = 0
-        for lsn, _, records in self.log:
-            if lsn <= self.applied_lsn:
-                continue
-            if lsn > self.commit_lsn:
-                break
-            for table_name, key, value in records:
-                table = self.tables.setdefault(table_name,
-                                               Table(table_name))
-                if value is None:
-                    table.delete(key)
-                else:
-                    table.put(key, value)
-                applied += 1
-            self.applied_lsn = lsn
-        self.applied_records += applied
-        return applied
+        applied.  Only the committed prefix ever reaches the tables."""
+        start = self.applied_lsn
+        return self._apply_batches(
+            (lsn, records) for lsn, _, records in self.log.entries
+            if start < lsn <= self.commit_lsn)
 
     def force_apply_all(self):
         """Apply the *entire* log, including the uncommitted suffix.
@@ -562,7 +567,7 @@ class ConsensusFollower(Standby):
         known commit horizon (the leader died before piggybacking the
         new commit_lsn) — discarding the suffix would lose acked
         writes."""
-        self.commit_lsn = self._last_lsn()
+        self.commit_lsn = self.log.last_lsn
         return self._apply_committed()
 
     # -- catch-up (snapshot resync) --------------------------------------
@@ -582,40 +587,19 @@ class ConsensusFollower(Standby):
         below the applied horizon is stale and refused (installing it
         would rewind past records the leader already pruned); one at
         exactly the horizon is the same state and installs."""
-        if self.catching_up:
+        reply = yield from self._fetch_snapshot(primary_name, ctx)
+        if reply is None:
             return 0
-        self.catching_up = True
-        try:
-            reply = yield self.call(primary_name, "snapshot", {}, ctx=ctx)
-        except BaseException:
-            self.catching_up = False
-            raise
-        snap_lsn = reply["lsn"]
-        self.term = max(self.term, reply.get("term", 0))
-        if self.promoted or snap_lsn < self.applied_lsn:
-            self.catching_up = False
-            return 0
-        tables = {}
-        installed = 0
-        for table_name, entries in reply["tables"].items():
-            table = Table(table_name)
-            for key, value in entries:
-                table.put(tuple(key), value)
-                installed += 1
-            tables[table_name] = table
-        self.tables = tables
-        self.applied_lsn = snap_lsn
-        self.commit_lsn = snap_lsn
-        self.log = []
-        self.log_base_lsn = snap_lsn
-        self.log_base_term = reply.get("term", 0)
-        self._pending = {}
         self.catching_up = False
+        self.term = max(self.term, reply.get("term", 0))
+        if self.promoted or reply["lsn"] < self.applied_lsn:
+            return 0
+        installed = self._install_snapshot(reply)
+        self.commit_lsn = self.applied_lsn
+        self.log.reset(self.applied_lsn, reply.get("term", 0))
         yield from self.execute(self.costs.index_insert_us * installed)
-        self.send(primary_name, "append_ack", {
-            "term": self.term, "ok": True, "match_lsn": snap_lsn,
-            "echo": None, "member": self.name,
-        })
+        _send_append_ack(self, primary_name, True, None,
+                         match_lsn=self.applied_lsn)
         return installed
 
     # -- elections -------------------------------------------------------
@@ -654,7 +638,7 @@ class ConsensusFollower(Standby):
 
     def _run_election(self):
         self.elections_started += 1
-        last = [self._last_lsn(), self._last_term()]
+        last = [self.log.last_lsn, self.log.last_term]
         # Pre-vote: probe electability (witness reachable, our log
         # up-to-date, leader actually silent) WITHOUT bumping the term,
         # so a partitioned follower cannot inflate terms and depose a
@@ -718,33 +702,12 @@ class Witness(Node):
         #: Witness-clock instant of the last message from a live leader;
         #: votes are refused within ``election_timeout_us`` of it.
         self.last_heard = float("-inf")
-        #: ``[(lsn, term), ...]`` above ``(base_lsn, base_term)``.
-        self.positions = []
-        self.base_lsn = 0
-        self.base_term = 0
+        #: Positions only: every entry's payload is None.
+        self.log = TermLog()
         self.acked_appends = 0
         self.votes_granted = 0
         self.votes_refused = 0
         self.adoptions = 0
-        self.truncations = 0
-
-    def _last_lsn(self):
-        return self.positions[-1][0] if self.positions else self.base_lsn
-
-    def _last_term(self):
-        return self.positions[-1][1] if self.positions else self.base_term
-
-    def _term_at(self, lsn):
-        if lsn <= self.base_lsn:
-            return self.base_term if lsn == self.base_lsn else None
-        index = lsn - self.base_lsn - 1
-        if index >= len(self.positions):
-            return None
-        return self.positions[index][1]
-
-    def _truncate_from(self, lsn):
-        self.truncations += 1
-        self.positions = [p for p in self.positions if p[0] < lsn]
 
     def handle(self, message):
         if message.kind == "append_entries":
@@ -760,66 +723,36 @@ class Witness(Node):
     def _on_append(self, message):
         payload = message.payload
         if payload["term"] < self.term:
-            self.send(message.sender, "append_ack", {
-                "term": self.term, "ok": False, "stale": True,
-                "match_lsn": self._last_lsn(),
-                "echo": payload["echo"], "member": self.name,
-            })
+            _send_append_ack(self, message.sender, False, payload["echo"],
+                             stale=True)
             return
         if payload["term"] > self.term:
             self.term = payload["term"]
             self.voted_for = None
         self.leader_name = payload["leader"]
         self.last_heard = self.clock.now_us()
-        base = payload["base"]
         prev_lsn, prev_term = payload["prev"]
-        gap = prev_lsn > self._last_lsn()
-        mine = None if gap else self._term_at(prev_lsn)
-        conflict = mine is not None and mine != prev_term
-        if gap or conflict:
-            if [prev_lsn, prev_term] == base:
-                # The current-term leader's snapshot horizon: adopt it.
-                # This is the witness's install-snapshot — the elected
-                # (or restarted) leader's base is authoritative, and
-                # the vote rule guarantees our positions never exceed
-                # an elected leader's log.
-                self.adoptions += 1
-                self.positions = []
-                self.base_lsn, self.base_term = base
-            elif conflict:
-                self._truncate_from(prev_lsn)
-                self._nack(message.sender, payload)
-                return
-            else:
-                self._nack(message.sender, payload)
-                return
-        appended = 0
-        for lsn, term, _ in payload["entries"]:
-            if lsn <= self.base_lsn:
-                continue
-            have = self._term_at(lsn)
-            if have == term:
-                continue
-            if have is not None:
-                self._truncate_from(lsn)
-            self.positions.append((lsn, term))
-            appended += 1
+        if ([prev_lsn, prev_term] == payload["base"]
+                and not self.log.matches(prev_lsn, prev_term)):
+            # The current-term leader's snapshot horizon: adopt it.
+            # This is the witness's install-snapshot — the elected (or
+            # restarted) leader's base is authoritative, and the vote
+            # rule guarantees our positions never exceed an elected
+            # leader's log.
+            self.adoptions += 1
+            self.log.reset(prev_lsn, prev_term)
+        appended = self.log.accept(payload["prev"], payload["entries"],
+                                   self.log.truncate_from)
+        if appended is None:
+            _send_append_ack(self, message.sender, False, payload["echo"])
+            return
         if appended:
             yield self.env.fsync(self.costs.wal_fsync_us,
-                                 appended * self.costs.wal_record_bytes)
+                                 len(appended) * self.costs.wal_record_bytes)
             if self.halted:
                 return
         self.acked_appends += 1
-        self.send(message.sender, "append_ack", {
-            "term": self.term, "ok": True, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
-
-    def _nack(self, sender, payload):
-        self.send(sender, "append_ack", {
-            "term": self.term, "ok": False, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
+        _send_append_ack(self, message.sender, True, payload["echo"])
 
     def _on_vote(self, message):
         payload = message.payload
@@ -827,8 +760,8 @@ class Witness(Node):
         now = self.clock.now_us()
         heard_recently = (now - self.last_heard) < self.election_timeout_us
         c_lsn, c_term = payload["last"]
-        up_to_date = (c_term, c_lsn) >= (self._last_term(),
-                                         self._last_lsn())
+        up_to_date = (c_term, c_lsn) >= (self.log.last_term,
+                                         self.log.last_lsn)
         if payload.get("pre"):
             granted = (payload["term"] > self.term and up_to_date
                        and not heard_recently)
@@ -858,22 +791,7 @@ def term_positions(member):
     """``{lsn: term}`` for any consensus participant — leader log
     (:class:`ReplicatedLog`), data follower, or witness — including its
     base position.  Genesis (lsn 0) is excluded."""
-    if isinstance(member, ReplicatedLog):
-        base = (member.base_lsn, member.base_term)
-        tail = [(lsn, term) for lsn, term, _ in member.entries]
-    elif isinstance(member, ConsensusFollower):
-        base = (member.log_base_lsn, member.log_base_term)
-        tail = [(lsn, term) for lsn, term, _ in member.log]
-    elif isinstance(member, Witness):
-        base = (member.base_lsn, member.base_term)
-        tail = list(member.positions)
-    else:
-        raise TypeError("not a consensus participant: {!r}".format(member))
-    out = {}
-    if base[0] > 0:
-        out[base[0]] = base[1]
-    out.update(dict(tail))
-    return out
+    return member.log.positions()
 
 
 def log_matching_violations(named_maps):

@@ -240,11 +240,22 @@ class Standby(Node):
     def _apply_ready(self):
         """Apply every buffered shipment that extends the applied LSN
         contiguously; returns the number of records applied."""
+        return self._apply_batches(self._ready_batches())
+
+    def _ready_batches(self):
+        lsn = self.applied_lsn + 1
+        while lsn in self._pending:
+            yield lsn, self._pending.pop(lsn)
+            lsn += 1
+
+    def _apply_batches(self, batches):
+        """Apply ``(lsn, records)`` batches in LSN order, advancing the
+        applied horizon past each; returns the number of records
+        applied.  The one loop that writes replicated records into the
+        tables."""
         applied = 0
-        while self.applied_lsn + 1 in self._pending:
-            self.applied_lsn += 1
-            for table_name, key, value in self._pending.pop(
-                    self.applied_lsn):
+        for lsn, records in batches:
+            for table_name, key, value in records:
                 table = self.tables.setdefault(table_name,
                                                Table(table_name))
                 if value is None:
@@ -252,6 +263,7 @@ class Standby(Node):
                 else:
                     table.put(key, value)
                 applied += 1
+            self.applied_lsn = lsn
         self.applied_records += applied
         return applied
 
@@ -278,29 +290,49 @@ class Standby(Node):
         it is the same state, and a fresh standby facing an idle
         primary starts with both at zero.)
         """
-        if self.catching_up:
+        reply = yield from self._fetch_snapshot(primary_name, ctx)
+        if reply is None:
             return 0
+        # A stale or duplicate snapshot (an overlapping catch-up already
+        # installed a newer one, or deltas advanced past this image
+        # while it was in flight) is not installed: keep the newer state.
+        stale = self.promoted or reply["lsn"] < self.applied_lsn
+        installed = 0 if stale else self._install_snapshot(reply)
+        # Shipments the applied state already covers are dropped; the
+        # rest stay buffered and apply in order below.
+        self._pending = {
+            lsn: records for lsn, records in self._pending.items()
+            if lsn > self.applied_lsn
+        }
+        self.catching_up = False
+        applied = self._apply_ready()
+        if applied or not stale:
+            yield from self.execute(
+                self.costs.index_insert_us * (installed + applied)
+            )
+        self.send(primary_name, "wal_ack",
+                  {"applied_lsn": self.applied_lsn})
+        return installed
+
+    def _fetch_snapshot(self, primary_name, ctx):
+        """Generator: the snapshot RPC, under the ``catching_up`` latch.
+
+        Returns the reply with the latch still set — the caller clears
+        it once it has decided what the image covers — or None when a
+        catch-up is already in flight (that one decides coverage)."""
+        if self.catching_up:
+            return None
         self.catching_up = True
         try:
             reply = yield self.call(primary_name, "snapshot", {}, ctx=ctx)
         except BaseException:
             self.catching_up = False
             raise
-        if self.promoted or reply["lsn"] < self.applied_lsn:
-            # Stale or duplicate snapshot (an overlapping catch-up
-            # already installed a newer one, or deltas advanced past
-            # this image while it was in flight): keep the newer state.
-            self.catching_up = False
-            self._pending = {
-                lsn: records for lsn, records in self._pending.items()
-                if lsn > self.applied_lsn
-            }
-            applied = self._apply_ready()
-            if applied:
-                yield from self.execute(self.costs.index_insert_us * applied)
-            self.send(primary_name, "wal_ack",
-                      {"applied_lsn": self.applied_lsn})
-            return 0
+        return reply
+
+    def _install_snapshot(self, reply):
+        """Replace the tables with the snapshot image and fast-forward
+        the applied LSN to its point; returns the records installed."""
         tables = {}
         installed = 0
         for table_name, entries in reply["tables"].items():
@@ -311,19 +343,6 @@ class Standby(Node):
             tables[table_name] = table
         self.tables = tables
         self.applied_lsn = reply["lsn"]
-        # Shipments the snapshot already covers are dropped; the rest
-        # stay buffered and apply in order below.
-        self._pending = {
-            lsn: records for lsn, records in self._pending.items()
-            if lsn > self.applied_lsn
-        }
-        self.catching_up = False
-        applied = self._apply_ready()
-        yield from self.execute(
-            self.costs.index_insert_us * (installed + applied)
-        )
-        self.send(primary_name, "wal_ack",
-                  {"applied_lsn": self.applied_lsn})
         return installed
 
     def lag(self, shipper):

@@ -94,7 +94,7 @@ class TestWiring:
         assert log.commit_lsn >= 1
         assert log.acked_lsn >= 1
         # The witness holds positions for everything committed.
-        assert cluster.witnesses[0]._last_lsn() >= log.commit_lsn
+        assert cluster.witnesses[0].log.last_lsn >= log.commit_lsn
 
 
 class TestFencing:
@@ -141,7 +141,7 @@ class TestFencing:
         # The deposed leader holds the write as an uncommitted suffix:
         # appended locally, never quorum-committed, never acked.
         assert leader.shipper.quorum_failures > 0
-        assert leader.shipper.commit_lsn < leader.shipper.last_lsn
+        assert leader.shipper.commit_lsn < leader.shipper.log.last_lsn
 
         elected = [r for r in cluster.coordinator.failover_log
                    if r.get("elected")]
@@ -263,3 +263,116 @@ class TestElection:
         cluster.run_for(20000.0)
         diffs = cluster.replication_divergence()
         assert not diffs[cluster.mnodes[slot].name]
+
+
+# ----------------------------------------------------------------------
+# the AppendEntries accept step, table-driven over both voting members
+# ----------------------------------------------------------------------
+
+#: Every case starts from the same member state — term 1, base (0, 0),
+#: entries 1..3 at term 1, nothing committed — and receives one crafted
+#: ``append_entries``.  Columns: payload overrides, then what the data
+#: follower and the witness must do.  ``ack`` is ``(ok, match_lsn)``
+#: (None: no ack at all); ``adopted``/``resynced`` is the role-specific
+#: answer to a leader whose base lies above the member's log.
+_APPEND_CASES = [
+    ("stale-term", dict(term=0, prev=[3, 1]),
+     dict(ack=(False, 3), stale=True, truncations=0, resynced=0),
+     dict(ack=(False, 3), stale=True, truncations=0, adopted=0)),
+    ("gap", dict(prev=[5, 1]),
+     dict(ack=(False, 3), truncations=0, resynced=0),
+     dict(ack=(False, 3), truncations=0, adopted=0)),
+    ("conflict-at-prev", dict(prev=[2, 2]),
+     dict(ack=(False, 1), truncations=1, resynced=0),
+     dict(ack=(False, 1), truncations=1, adopted=0)),
+    ("duplicate-redelivery",
+     dict(prev=[1, 1], entries=[[2, 1, []], [3, 1, []]]),
+     dict(ack=(True, 3), truncations=0, resynced=0),
+     dict(ack=(True, 3), truncations=0, adopted=0)),
+    ("conflict-in-entries",
+     dict(term=2, prev=[1, 1],
+          entries=[[2, 1, []], [3, 2, []], [4, 2, []]]),
+     dict(ack=(True, 4), truncations=1, resynced=0),
+     dict(ack=(True, 4), truncations=1, adopted=0)),
+    ("gap-at-leader-base",
+     dict(term=2, base=[5, 2], prev=[5, 2], entries=[[6, 2, []]]),
+     dict(ack=None, truncations=0, resynced=1),
+     dict(ack=(True, 6), truncations=0, adopted=1)),
+]
+
+
+def _append_member(role, commit_lsn=0):
+    """A fresh follower or witness in the table's starting state, with
+    its sends recorded instead of delivered."""
+    from repro.storage.consensus import TermLog
+
+    cluster = _consensus_cluster()
+    member = (cluster.standbys[0] if role == "follower"
+              else cluster.witnesses[0])
+    member.term = 1
+    member.log = TermLog()
+    member.log.entries = [(lsn, 1, []) for lsn in (1, 2, 3)]
+    member.sent = []
+    member.send = lambda to, kind, payload, **_: member.sent.append(
+        (kind, payload))
+    if role == "follower":
+        member.commit_lsn = member.applied_lsn = commit_lsn
+        member.resynced = 0
+
+        def resync(leader_name):
+            member.resynced += 1
+            return
+            yield  # pragma: no cover
+
+        member._resync = resync
+    return cluster, member
+
+
+def _append(cluster, member, **overrides):
+    from repro.net.message import Message
+
+    payload = {"term": 1, "leader": "mnode-0", "prev": [3, 1],
+               "base": [0, 0], "entries": [], "commit_lsn": 0,
+               "echo": 42.0}
+    payload.update(overrides)
+    cluster.run_process(member.handle(
+        Message("mnode-0", member.name, "append_entries", payload)))
+
+
+@pytest.mark.parametrize("role", ["follower", "witness"])
+@pytest.mark.parametrize(
+    "name,overrides,follower_want,witness_want", _APPEND_CASES,
+    ids=[case[0] for case in _APPEND_CASES])
+def test_append_entries_accept_step(role, name, overrides, follower_want,
+                                    witness_want):
+    want = follower_want if role == "follower" else witness_want
+    cluster, member = _append_member(role)
+    _append(cluster, member, **overrides)
+    acks = [payload for kind, payload in member.sent
+            if kind == "append_ack"]
+    if want["ack"] is None:
+        assert acks == []
+    else:
+        assert len(acks) == 1
+        ack = acks[0]
+        assert (ack["ok"], ack["match_lsn"]) == want["ack"]
+        assert ack.get("stale", False) == want.get("stale", False)
+        assert ack["echo"] == 42.0 and ack["member"] == member.name
+    assert member.log.truncations == want["truncations"]
+    if role == "follower":
+        assert member.resynced == want["resynced"]
+    else:
+        assert member.adoptions == want["adopted"]
+
+
+@pytest.mark.parametrize("name", ["conflict-at-prev",
+                                  "conflict-in-entries"])
+def test_follower_refuses_to_truncate_committed_entry(name):
+    overrides = next(case[1] for case in _APPEND_CASES if case[0] == name)
+    cluster, follower = _append_member("follower", commit_lsn=3)
+    with pytest.raises(RuntimeError, match="truncate committed entry"):
+        _append(cluster, follower, **overrides)
+    # The witness holds no applied state and truncates the same suffix.
+    cluster, witness = _append_member("witness")
+    _append(cluster, witness, **overrides)
+    assert witness.log.truncations == 1

@@ -3,12 +3,12 @@ and the handoff/failover interaction.
 
 Four layers:
 
-* **planted bug** — with the test-only ``broken_handoff`` flag (the
+* **planted bug** — with ``MNode._on_slot_install`` patched so the
   destination activates a migrated slot before the fenced delta is
-  applied) the checker's migrate mix must catch the resulting loss
+  applied, the checker's migrate mix must catch the resulting loss
   within 50 seeds, and ddmin must shrink the reproducer to a handful
-  of ops; the identical schedule without the flag stays clean, so the
-  oracle is detecting the bug and not background noise;
+  of ops; the identical schedule without the patch stays clean, so
+  the oracle is detecting the bug and not background noise;
 * **golden trace** — a fixed two-handoff schedule reproduces its
   committed digest bit-for-bit (``tests/golden/migration_trace.json``);
 * **determinism** — ``check run --nemesis-mix migrate`` emits a
@@ -27,6 +27,7 @@ from repro.check.runner import run_schedule
 from repro.check.schedule import generate_schedule
 from repro.check.shrink import shrink
 from repro.core import FalconCluster, FalconConfig
+from repro.core.mnode import MNode
 from tests.golden_migration_workload import (
     MIGRATION_GOLDEN_PATH,
     run_migration_golden,
@@ -61,10 +62,31 @@ def test_migrate_mix_seeds_run_clean():
 # planted bug: broken handoff is caught and shrinks small
 # ----------------------------------------------------------------------
 
+def _broken_slot_install(original):
+    """PLANTED BUG: start serving a migrated slot as soon as the
+    snapshot lands, without waiting for the fenced delta — any write
+    the source acknowledged during the capture window is invisible at
+    the destination (and clobbered when the stale activate arrives).
+    The migration nemesis must catch it."""
+
+    def install(self, message):
+        yield from original(self, message)
+        slot = message.payload["slot"]
+        self.pending_slots.discard(slot)
+        self.hosted_slots.add(slot)
+        self.moved_slots.pop(slot, None)
+
+    return install
+
+
+def _plant_broken_handoff(monkeypatch):
+    monkeypatch.setattr(MNode, "_on_slot_install",
+                        _broken_slot_install(MNode._on_slot_install))
+
+
 def _first_caught_seed():
     for seed in range(50):
         sched = generate_schedule(seed, **_SHAPE)
-        sched["config"]["broken_handoff"] = True
         result = run_schedule(sched)
         if result["violations"]:
             return seed, sched, result
@@ -73,9 +95,11 @@ def _first_caught_seed():
 
 @pytest.fixture(scope="module")
 def caught():
-    seed, sched, result = _first_caught_seed()
+    with pytest.MonkeyPatch.context() as patch:
+        _plant_broken_handoff(patch)
+        seed, sched, result = _first_caught_seed()
     assert seed is not None, (
-        "broken_handoff survived 50 migrate-mix seeds undetected"
+        "the broken handoff survived 50 migrate-mix seeds undetected"
     )
     return seed, sched, result
 
@@ -86,14 +110,16 @@ def test_broken_handoff_caught_within_fifty_seeds(caught):
     # The bug drops the fenced delta: acked writes vanish (durability)
     # and/or the handoff bookkeeping never discharges (slot leaks).
     assert invariants & {"durability", "pending-slot-leak", "ownership"}
-    # Control: the identical schedule without the planted flag is clean,
+    # Control: the identical schedule without the planted bug is clean,
     # so the oracle is catching the bug, not background noise.
     control = generate_schedule(seed, **_SHAPE)
     assert run_schedule(control)["violations"] == []
 
 
-def test_broken_handoff_shrinks_to_minimal_reproducer(caught):
+def test_broken_handoff_shrinks_to_minimal_reproducer(caught,
+                                                      monkeypatch):
     _seed, sched, _result = caught
+    _plant_broken_handoff(monkeypatch)
     minimal, _runs, min_result = shrink(sched, max_runs=400)
     assert min_result["violations"]
     assert len(minimal["ops"]) <= 10, [op["kind"] for op in minimal["ops"]]
